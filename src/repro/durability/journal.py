@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import JournalCorrupt
-from repro.util.serialization import serialize
+from repro.util.serialization import canonical_dumps, is_flat_record, serialize
 
 GENESIS_HASH = "0" * 64
 
@@ -49,14 +49,40 @@ class JournalRecord:
     hash: str
 
 
-def record_hash(
+def _copy(value: Any) -> Any:
+    """Copy plain-JSON containers, sharing their immutable leaves."""
+    if type(value) is dict:
+        return {k: _copy(v) for k, v in value.items()}
+    if type(value) is list:
+        return [_copy(v) for v in value]
+    return value
+
+
+def _chain_hash(
     seq: int, time: float, kind: str, data: Dict[str, Any], prev_hash: str
 ) -> str:
-    """Chained content hash: covers the record *and* its predecessor."""
-    payload = serialize(
+    """The chained content hash — its only definition.
+
+    SHA-256 over the canonical text of the record *and* its predecessor's
+    hash, rendered in one encoder pass. ``data`` must already be plain
+    JSON (``str`` keys, no tuples/bytes/sets): a reloaded journal hands
+    back int keys as strings, sorted as strings, so the hash must cover
+    that cleaned form for the chain to verify after a disk round-trip.
+    """
+    payload = canonical_dumps(
         {"seq": seq, "time": time, "kind": kind, "data": data, "prev": prev_hash}
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def record_hash(
+    seq: int, time: float, kind: str, data: Dict[str, Any], prev_hash: str
+) -> str:
+    """Chained content hash: covers the record *and* its predecessor.
+
+    Equal to the hash :meth:`Journal.append` stores for ``data``.
+    """
+    return _chain_hash(seq, time, kind, json.loads(serialize(data)), prev_hash)
 
 
 def task_key(
@@ -110,16 +136,13 @@ class JsonlJournalStore:
         self.path = path
 
     def append(self, entry: Dict[str, Any]) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        self.append_many([entry])
 
     def append_many(self, entries: List[Dict[str, Any]]) -> None:
         # One open/close per batch instead of per record; the bytes
         # written are identical to N sequential append() calls.
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.writelines(
-                json.dumps(entry, sort_keys=True) + "\n" for entry in entries
-            )
+            fh.writelines(canonical_dumps(entry) + "\n" for entry in entries)
 
     def load(self) -> List[Dict[str, Any]]:
         try:
@@ -174,25 +197,27 @@ class Journal:
         return len(self._records)
 
     def append(self, kind: str, time: float, data: Dict[str, Any]) -> JournalRecord:
-        # Canonicalize to plain JSON so hashing and disk round-trips agree.
-        clean = json.loads(serialize(dict(data)))
+        # Canonicalize to plain JSON so hashing and disk round-trips agree
+        # (a flat record already is). The store entry gets its own copy of
+        # the containers, sharing the immutable values.
+        if is_flat_record(data):
+            clean, stored = dict(data), dict(data)
+        else:
+            clean = json.loads(serialize(data))
+            stored = _copy(clean)
         seq = len(self._records)
         prev = self.head_hash
         record = JournalRecord(
-            seq=seq,
-            time=time,
-            kind=kind,
-            data=clean,
-            prev_hash=prev,
-            hash=record_hash(seq, time, kind, clean, prev),
+            seq, time, kind, clean, prev, _chain_hash(seq, time, kind, clean, prev)
         )
         self._records.append(record)
+        entry = dict(vars(record), data=stored)
         if self.batch_size > 1:
-            self._pending.append(asdict(record))
+            self._pending.append(entry)
             if len(self._pending) >= self.batch_size:
                 self.flush()
         else:
-            self.store.append(asdict(record))
+            self.store.append(entry)
         return record
 
     def flush(self) -> int:
@@ -232,7 +257,7 @@ class Journal:
                     f"journal record {index}: chain broken "
                     f"(prev {record.prev_hash[:12]} != {prev[:12]})"
                 )
-            expected = record_hash(
+            expected = _chain_hash(
                 record.seq, record.time, record.kind, record.data, record.prev_hash
             )
             if record.hash != expected:
@@ -250,5 +275,5 @@ class Journal:
     def truncated(self, count: int) -> "Journal":
         """An in-memory journal holding only the first ``count`` records —
         what survives a crash that struck after record ``count``."""
-        entries = [asdict(r) for r in self._records[:count]]
+        entries = [dict(vars(r), data=_copy(r.data)) for r in self._records[:count]]
         return Journal(MemoryJournalStore(entries))

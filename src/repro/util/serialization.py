@@ -49,9 +49,24 @@ def _decode_hook(obj: dict) -> Any:
     return obj
 
 
+# Canonical text of a value that is already plain JSON (no encode walk).
 # json.dumps(..., sort_keys=True) constructs a fresh JSONEncoder per
 # call; this one is built once and produces identical text.
-_canonical_dumps = json.JSONEncoder(sort_keys=True).encode
+canonical_dumps = json.JSONEncoder(sort_keys=True).encode
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def is_flat_record(value: Any) -> bool:
+    """True for a dict of ``str`` keys to plain scalars — a value that is
+    its own plain-JSON form, so neither the encode walk nor a json
+    round-trip changes it."""
+    if type(value) is not dict:
+        return False
+    for key, item in value.items():
+        if type(key) is not str or type(item) not in _SCALAR_TYPES:
+            return False
+    return True
 
 
 def serialize(value: Any) -> str:
@@ -60,7 +75,7 @@ def serialize(value: Any) -> str:
     Raises ``TypeError`` for objects that are not data (open handles, live
     simulation objects...) — remote task payloads must be plain data.
     """
-    return _canonical_dumps(_encode(value))
+    return canonical_dumps(_encode(value))
 
 
 def deserialize(text: str) -> Any:
@@ -85,7 +100,7 @@ def serialize_call(args: tuple, kwargs: dict) -> str:
     for value in kwargs.values():
         if value is not None and type(value) not in _PLAIN_TYPES:
             return serialize({"args": list(args), "kwargs": kwargs})
-    return _canonical_dumps({"args": list(args), "kwargs": kwargs})
+    return canonical_dumps({"args": list(args), "kwargs": kwargs})
 
 
 def serialized_size(value: Any) -> int:

@@ -17,9 +17,11 @@ from repro.durability import (
     CoordinatorCrashed,
     Journal,
     JournalCorrupt,
+    JsonlJournalStore,
     LeaseRegistry,
     MemoryJournalStore,
     ReplayIndex,
+    record_hash,
     task_key,
 )
 from repro.experiments import common
@@ -29,6 +31,7 @@ from repro.provenance.crate import ResearchCrate
 from repro.provenance.record import ExecutionRecord
 from repro.util.clock import SimClock
 from repro.util.events import EventLog
+from repro.util.serialization import serialize
 from repro.world import World
 
 
@@ -121,6 +124,94 @@ class TestJournal:
         journal = Journal.open(str(tmp_path / "missing.journal"))
         assert len(journal) == 0
         assert journal.head_hash == GENESIS_HASH
+
+
+class TestGoldenChainVectors:
+    """Chained hashes pinned from the pre-refactor encoder: the hashed
+    encoding must never drift silently (regenerate only from a commit
+    whose encoding is known good)."""
+
+    VECTORS = [
+        (
+            "x", 1.0, {10: "a", 9: "b"},
+            "99ca6da3da91a76b2d3462adc39f8aa880f1716a2bef0061afff3228ec5f0cc0",
+        ),
+        (
+            "task.submitted", 0,
+            {"payload": '{"args": [1.5]}', "n": None, "ok": True},
+            "a967e93240312be5b960a1cfb6949fb6fe6e53dd86dd30e261f88f86d9ece9d9",
+        ),
+        (
+            "run.created", 2.5e-07,
+            {"nested": {"t": (1, 2), "b": b"\x00"}, "uni": "hé"},
+            "166b7657bc40531e44ec1d966581b855232ce26f6e0adf8916f1b0293c2992c4",
+        ),
+    ]
+
+    def test_chain_hashes_are_pinned(self, tmp_path):
+        journal = Journal(JsonlJournalStore(str(tmp_path / "golden.jsonl")))
+        for kind, time, data, expected in self.VECTORS:
+            assert journal.append(kind, time, data).hash == expected
+        journal.verify()
+        reopened = Journal.open(str(tmp_path / "golden.jsonl"))
+        assert [r.hash for r in reopened.records] == [v[3] for v in self.VECTORS]
+
+    def test_int_keys_hash_as_their_cleaned_strings(self):
+        # Cleaning turns int keys into strings, which sort as strings
+        # ("10" < "9"); the hash must cover that cleaned form, or a
+        # reloaded journal would no longer verify.
+        journal = Journal()
+        record = journal.append("x", 1.0, {10: "a", 9: "b"})
+        journal.verify()
+        assert record.data == {"10": "a", "9": "b"}
+        assert record.hash == self.VECTORS[0][3]
+        assert record_hash(0, 1.0, "x", {10: "a", 9: "b"}, GENESIS_HASH) == (
+            record.hash
+        )
+        assert Journal(journal.store).head_hash == record.hash
+
+    def test_record_hash_matches_append(self):
+        journal = Journal()
+        for kind, time, data, _ in self.VECTORS:
+            prev = journal.head_hash
+            record = journal.append(kind, time, data)
+            assert record_hash(record.seq, time, kind, data, prev) == record.hash
+
+
+class TestStoreIsolation:
+    """Store entries, live records and the caller's data share immutable
+    values only: mutating one never changes another."""
+
+    @pytest.mark.parametrize("batch_size", [0, 2])
+    def test_mutating_a_loaded_entry_leaves_the_live_journal_intact(
+        self, batch_size
+    ):
+        journal = Journal(batch_size=batch_size)
+        flat = {"key": "a", "n": 1}
+        nested = {"outputs": {"x": [1, {"y": "z"}]}, "t": (1, 2)}
+        journal.append("task.submitted", 1.0, flat)
+        journal.append("step.finished", 2.0, nested)
+        journal.flush()
+        before = [serialize(r.data) for r in journal.records]
+        flat["key"] = "caller"
+        nested["outputs"]["x"].append(2)
+        entries = journal.store.load()
+        entries[0]["data"]["key"] = "evil"
+        entries[1]["data"]["outputs"]["x"][1]["y"] = "evil"
+        entries[1]["data"]["t"]["__tuple__"].append(3)
+        assert [serialize(r.data) for r in journal.records] == before
+        journal.verify()
+        # the store held its own copy, so the tampering landed there
+        with pytest.raises(JournalCorrupt):
+            Journal(journal.store)
+
+    def test_truncated_journal_shares_no_containers(self):
+        journal = Journal()
+        journal.append("step.finished", 1.0, {"outputs": {"x": [1]}})
+        shorter = journal.truncated(1)
+        shorter.records[0].data["outputs"]["x"].append(2)
+        assert journal.records[0].data == {"outputs": {"x": [1]}}
+        journal.verify()
 
 
 class TestTaskKey:

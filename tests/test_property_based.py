@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import hashlib
+import json
 import string
 
 import pytest
@@ -9,11 +11,24 @@ from hypothesis import strategies as st
 from repro.apps.kamping.bindings import KampingBindings
 from repro.apps.kamping.mpi import SimMPI
 from repro.core.workflow_builder import render_yaml
+from repro.durability.journal import (
+    GENESIS_HASH,
+    Journal,
+    _chain_hash,
+    record_hash,
+)
 from repro.envs.packages import Version, VersionSpec
 from repro.sites.filesystem import SimFileSystem
 from repro.util import yamlite
 from repro.util.clock import SimClock
-from repro.util.serialization import deserialize, serialize
+from repro.util.serialization import (
+    _encode,
+    canonical_dumps,
+    deserialize,
+    is_flat_record,
+    serialize,
+    serialize_call,
+)
 from repro.vcs.objects import ObjectStore
 
 # -- strategies -------------------------------------------------------------
@@ -74,6 +89,108 @@ class TestSerializationRoundtrip:
     @settings(max_examples=50, deadline=None)
     def test_bytes_roundtrip(self, value):
         assert deserialize(serialize(value)) == value
+
+
+# Everything a journaled record may carry before cleaning: nested dicts
+# and lists, tuples, bytes, sets, unicode, floats and non-``str`` keys
+# (int-keyed and str-keyed dicts kept apart — json cannot sort a mix).
+_scalar_any = st.one_of(
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=12),
+)
+_rich_data = st.recursive(
+    st.one_of(_scalar_any, st.binary(max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.sets(st.one_of(st.integers(), st.text(max_size=4)), max_size=3),
+        st.dictionaries(st.text(max_size=6), children, max_size=3),
+        st.dictionaries(st.integers(-50, 50), children, max_size=3),
+    ),
+    max_leaves=10,
+)
+_record_data = st.one_of(
+    st.dictionaries(st.text(max_size=8), _scalar_any, max_size=6),
+    st.dictionaries(st.integers(-50, 50), _scalar_any, min_size=1, max_size=6),
+    st.dictionaries(st.text(max_size=8), _rich_data, max_size=4),
+    st.dictionaries(st.integers(-50, 50), _rich_data, max_size=4),
+)
+_record_time = st.one_of(
+    st.integers(min_value=0, max_value=10**9),
+    st.floats(min_value=0, max_value=1e9, allow_nan=False),
+)
+_hex_hash = st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
+
+
+def _reference_hash(seq, time, kind, data, prev):
+    """The chained hash by definition: the canonical text of the whole
+    wrapper over the cleaned (plain-JSON) data."""
+    clean = json.loads(serialize(data))
+    wrapper = {"seq": seq, "time": time, "kind": kind, "data": clean, "prev": prev}
+    return hashlib.sha256(serialize(wrapper).encode("utf-8")).hexdigest()
+
+
+class TestJournalEncodingProperties:
+    @given(
+        seq=st.integers(min_value=0, max_value=10**6),
+        time=_record_time,
+        kind=st.text(max_size=16),
+        data=_record_data,
+        prev=_hex_hash,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chain_hash_matches_reference_definition(
+        self, seq, time, kind, data, prev
+    ):
+        expected = _reference_hash(seq, time, kind, data, prev)
+        clean = json.loads(serialize(data))
+        assert _chain_hash(seq, time, kind, clean, prev) == expected
+        assert record_hash(seq, time, kind, data, prev) == expected
+
+    @given(
+        records=st.lists(
+            st.tuples(st.text(max_size=16), _record_time, _record_data),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_appended_chain_matches_reference_and_reloads(self, records):
+        journal = Journal()
+        prev = GENESIS_HASH
+        for seq, (kind, time, data) in enumerate(records):
+            record = journal.append(kind, time, data)
+            assert record.hash == _reference_hash(seq, time, kind, data, prev)
+            # compared as text: a NaN equals only itself as an object
+            assert canonical_dumps(record.data) == canonical_dumps(
+                json.loads(serialize(data))
+            )
+            prev = record.hash
+        journal.verify()
+        assert Journal(journal.store).head_hash == journal.head_hash
+
+    @given(value=st.one_of(_rich_data, _record_data))
+    @settings(max_examples=150, deadline=None)
+    def test_flat_record_is_its_own_plain_json_form(self, value):
+        # Journal.append hashes and stores a flat record as given, so the
+        # encode walk and the json round-trip must both be no-ops on it.
+        if is_flat_record(value):
+            assert canonical_dumps(value) == canonical_dumps(_encode(value))
+            assert canonical_dumps(json.loads(serialize(value))) == (
+                canonical_dumps(value)
+            )
+
+    @given(
+        args=st.lists(st.one_of(_scalar_any, _rich_data), max_size=3),
+        kwargs=st.dictionaries(_plain_key, st.one_of(_scalar_any, _rich_data)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_serialize_call_matches_serialize(self, args, kwargs):
+        expected = serialize({"args": list(args), "kwargs": kwargs})
+        assert serialize_call(tuple(args), kwargs) == expected
 
 
 class TestVersionProperties:
