@@ -239,6 +239,7 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
         format_hedging_report,
         run_fig4_failslow,
     )
+    from repro.faults.profiles import FAULT_FREE_PROFILES
 
     params = HedgingParams(
         seed=args.seed, profile=args.profile, endpoints=args.endpoints
@@ -251,7 +252,7 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
         and all(r.double_resolutions == 0 for r in runs)
         and all(r.unresolved_futures == 0 for r in runs)
     )
-    if params.profile in ("none", "off"):
+    if params.profile in FAULT_FREE_PROFILES:
         # a fault-free comparison only proves quiescence + exactly-once
         return 0 if audits_ok else 1
     return (
@@ -259,56 +260,6 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
         if audits_ok and comparison.hedged.p99 < comparison.unhedged.p99
         else 1
     )
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run one microbenchmark scenario and write BENCH_<scenario>.json."""
-    from repro.experiments.bench import (
-        SCENARIOS,
-        check_against_baseline,
-        format_bench_report,
-    )
-
-    kwargs: Dict[str, object] = {}
-    if args.scenario.startswith("dispatch"):
-        if args.tasks:
-            kwargs["tasks"] = args.tasks
-        kwargs["endpoints"] = args.endpoints
-        kwargs["seed"] = args.seed
-        kwargs["telemetry"] = args.telemetry
-        if args.span_sample_rate is not None:
-            kwargs["telemetry"] = True
-            kwargs["span_sample_rate"] = args.span_sample_rate
-        if args.journal_batch:
-            kwargs["journal_batch"] = args.journal_batch
-        if args.obs:
-            kwargs["obs"] = True
-    elif args.scenario.startswith("overload"):
-        if args.tasks:
-            kwargs["tasks"] = args.tasks
-        kwargs["tenants"] = args.tenants
-        kwargs["endpoints"] = args.endpoints
-        kwargs["seed"] = args.seed
-    else:
-        kwargs["pool_size"] = args.pool_size
-    result = SCENARIOS[args.scenario](**kwargs)
-    print(format_bench_report(result))
-    if not args.no_write:
-        path = result.write(args.output_dir)
-        print(f"\nwrote {path}")
-    if args.baseline:
-        failures = check_against_baseline(
-            result, args.baseline, tolerance=args.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"baseline check passed ({args.baseline}, "
-            f"tolerance {args.tolerance:.0%})"
-        )
-    return 0
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -612,7 +563,6 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "chaos": _cmd_chaos,
     "route": _cmd_route,
     "recover": _cmd_recover,
-    "bench": _cmd_bench,
     "obs": _cmd_obs,
     "overload": _cmd_overload,
     "hedge": _cmd_hedge,
@@ -765,76 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument(
         "--no-telemetry", action="store_true",
         help="run without tracer/metrics (outputs are identical)",
-    )
-    bench = sub.add_parser(
-        "bench",
-        help=(
-            "run a seeded microbenchmark scenario and write "
-            "BENCH_<scenario>.json"
-        ),
-    )
-    bench.add_argument(
-        "scenario",
-        choices=[
-            "dispatch_10k", "dispatch_100k", "dispatch_1m",
-            "fig4_pooled", "overload_50k",
-        ],
-        help="which scenario to run",
-    )
-    bench.add_argument(
-        "--tasks", type=int, default=0,
-        help="override the task count of a dispatch scenario",
-    )
-    bench.add_argument(
-        "--endpoints", type=int, default=8,
-        help="endpoints in the dispatch/overload pool (default 8)",
-    )
-    bench.add_argument(
-        "--tenants", type=int, default=8,
-        help="tenants sharing the pool (overload scenarios, default 8)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed; the same seed replays the same durations",
-    )
-    bench.add_argument(
-        "--telemetry", action="store_true",
-        help="attach the tracer/metrics bridge (dispatch scenarios)",
-    )
-    bench.add_argument(
-        "--span-sample-rate", type=float, default=None,
-        help="trace this fraction of task roots (implies --telemetry)",
-    )
-    bench.add_argument(
-        "--journal-batch", type=int, default=0,
-        help="journal the run with this store-flush batch size",
-    )
-    bench.add_argument(
-        "--obs", action="store_true",
-        help=(
-            "attach the observability plane (implies --telemetry); the "
-            "JSON gains a real alerts_fired count and p95 series"
-        ),
-    )
-    bench.add_argument(
-        "--pool-size", type=int, default=2,
-        help="endpoints per site for fig4_pooled (default 2)",
-    )
-    bench.add_argument(
-        "-o", "--output-dir", default=".",
-        help="directory for BENCH_<scenario>.json (default: cwd)",
-    )
-    bench.add_argument(
-        "--no-write", action="store_true",
-        help="print the report without writing the JSON",
-    )
-    bench.add_argument(
-        "--baseline", default="",
-        help="baseline JSON to gate against (exit 1 on regression)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="allowed throughput drop vs the baseline (default 0.2)",
     )
     obs = sub.add_parser(
         "obs",

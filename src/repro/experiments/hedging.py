@@ -36,12 +36,11 @@ from repro.experiments import common
 from repro.faas.client import ComputeClient
 from repro.faas.hedging import HedgeConfig
 from repro.faas.task import TaskState
-from repro.faults.profiles import build_profile
+from repro.faults.profiles import FAULT_FREE_PROFILES, build_profile
 from repro.telemetry.metrics import percentile
 from repro.world import World
 
 FAILSLOW_SITE = "chameleon"
-FAULT_FREE_PROFILES = ("none", "off")
 
 
 @dataclass(frozen=True)

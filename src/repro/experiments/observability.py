@@ -23,15 +23,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.chaos import run_fig4_chaos
 from repro.experiments.fig4_parsldock import FIG4_SITES, run_fig4
+from repro.faults.profiles import FAULT_FREE_PROFILES
 from repro.telemetry import (
     DEFAULT_WINDOW,
     dashboard_snapshot,
     default_slo_pack,
     openmetrics_text,
 )
-
-# profile value meaning "no faults": plain Fig. 4 with the plane attached
-FAULT_FREE_PROFILES = ("none", "off")
 
 
 @dataclass

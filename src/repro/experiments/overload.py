@@ -36,14 +36,13 @@ from repro.faas.overload import (
     OverloadConfig,
 )
 from repro.faas.task import TaskState
-from repro.faults.profiles import build_profile
+from repro.faults.profiles import FAULT_FREE_PROFILES, build_profile
 from repro.faults.resilience import RetryPolicy
 from repro.telemetry.metrics import percentile
 from repro.telemetry.slo import overload_slo_pack
 from repro.world import World
 
 OVERLOAD_SITE = "chameleon"
-FAULT_FREE_PROFILES = ("none", "off")
 
 # Retry tuning for overload runs: fewer, faster attempts than the chaos
 # experiments — under contention a long backoff ladder just holds queue

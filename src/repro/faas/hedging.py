@@ -167,7 +167,7 @@ class StragglerDetector:
 
 @dataclass
 class HedgeStats:
-    """Counters the experiment reports and the bench schema export."""
+    """Counters the hedging experiment reports."""
 
     hedges_launched: int = 0
     hedges_won: int = 0  # the duplicate produced the winning result
@@ -548,19 +548,3 @@ class HedgeController:
             task_id=task.task_id, endpoint=race.endpoint,
             was_running=was_running,
         )
-
-    # -- reporting -----------------------------------------------------
-
-    def snapshot(self) -> Dict[str, float]:
-        """JSON-ready counters for reports and the bench schema."""
-        stats = self.stats
-        return {
-            "hedges_launched": stats.hedges_launched,
-            "hedges_won": stats.hedges_won,
-            "hedges_cancelled": stats.hedges_cancelled,
-            "hedges_lost": stats.hedges_lost,
-            "wasted_seconds": round(stats.wasted_seconds, 6),
-            "useful_seconds": round(stats.useful_seconds, 6),
-            "wasted_ratio": round(stats.wasted_ratio(), 6),
-            "stragglers_flagged": stats.stragglers_flagged,
-        }

@@ -184,6 +184,9 @@ def fail_slow(seed: int) -> FaultPlan:
     return plan
 
 
+# profile values meaning "no faults": the run gets no fault plan
+FAULT_FREE_PROFILES = ("none", "off")
+
 PROFILES: Dict[str, Callable[[int], FaultPlan]] = {
     "flaky-endpoint": flaky_endpoint,
     "walltime": walltime,

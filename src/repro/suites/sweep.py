@@ -83,13 +83,12 @@ def run_sweep(
     from repro.core.inputs import CorrectInputs
     from repro.core.remote import FN_RUN_SHELL
     from repro.errors import ReproError
+    from repro.faults.profiles import FAULT_FREE_PROFILES, build_profile
     from repro.provenance.record import ExecutionRecord
 
     spec = load_suite(spec)
     plan = None
-    if profile and profile not in ("none", "off"):
-        from repro.faults.profiles import build_profile
-
+    if profile and profile not in FAULT_FREE_PROFILES:
         plan = build_profile(profile, seed)
     retry_policy = None
     if plan is not None:

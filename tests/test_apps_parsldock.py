@@ -1,6 +1,7 @@
 """Unit tests for the ParslDock application: chemistry, docking, ML, pipeline."""
 
-import numpy as np
+from statistics import correlation
+
 import pytest
 
 from repro.apps.parsldock.chemistry import Molecule, parse_smiles
@@ -114,7 +115,7 @@ class TestDocking:
 
 class TestSurrogate:
     def test_fingerprint_shape(self):
-        assert fingerprint(parse_smiles("CCO")).shape == (FINGERPRINT_SIZE,)
+        assert len(fingerprint(parse_smiles("CCO"))) == FINGERPRINT_SIZE
 
     def test_fit_predict(self):
         receptor = prepare_receptor()
@@ -122,11 +123,10 @@ class TestSurrogate:
         scores = dock_batch(train, receptor)
         model = SurrogateModel().fit(train, [scores[s] for s in train])
         predictions = model.predict(train)
-        assert predictions.shape == (16,)
+        assert len(predictions) == 16
         # in-sample predictions correlate with truth
-        truth = np.array([scores[s] for s in train])
-        corr = np.corrcoef(predictions, truth)[0, 1]
-        assert corr > 0.3
+        truth = [scores[s] for s in train]
+        assert correlation(predictions, truth) > 0.3
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):

@@ -1,5 +1,10 @@
 """Tests for the experiment CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -109,3 +114,26 @@ class TestSuiteCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "Suite sweep — fig4" in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the CLI entry point with numpy made unimportable, as in a clean install
+_NO_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+class TestWithoutNumpy:
+    @pytest.mark.parametrize("command", ["fig4", "fig5", "exp63"])
+    def test_experiment_runs_with_numpy_blocked(self, command):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY, command],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        if command == "fig4":
+            pinned = ROOT / "benchmarks" / "baselines" / "fig4-pinned.txt"
+            assert done.stdout == pinned.read_text(encoding="utf-8")

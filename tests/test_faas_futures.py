@@ -1,5 +1,8 @@
 """The async task lifecycle: futures, batches, dispatch interleaving."""
 
+import random
+import time
+
 import pytest
 
 from repro.errors import TaskFailed
@@ -12,6 +15,7 @@ from repro.faas.client import ComputeClient
 from repro.faas.future import Future
 from repro.faas.task import TaskState
 from repro.scheduler.jobs import Job
+from repro.telemetry import percentile
 from repro.world import World
 
 
@@ -212,3 +216,65 @@ class TestFig4Overlap:
         # per-test durations still come out of the concurrent run
         for site_durations in result.durations.values():
             assert site_durations
+
+
+def _burst(tasks, endpoints, seed):
+    """Submit ``tasks`` seeded 1–3 s tasks round-robin over a pool, drain.
+
+    Returns the drained world, the events pending right after the burst
+    was submitted, and the virtual submit-to-dispatch latencies.
+    """
+    world = World()
+    user = world.register_user("burst", {"chameleon": "burst"})
+    pool = common.deploy_site_mep_pool(world, "chameleon", size=endpoints)
+    client = ComputeClient(world.faas, user.client_id, user.client_secret)
+    fid = client.register_function(_work, "burst-work")
+    rng = random.Random(seed)
+    futures = [
+        client.submit(
+            pool[index % endpoints].endpoint_id,
+            fid,
+            2.0 * (0.5 + rng.random()),
+        )
+        for index in range(tasks)
+    ]
+    pending = world.clock.pending_events()
+    world.clock.run_until_idle()
+    assert all(future.done() for future in futures)
+    submitted = {
+        e.data["task_id"]: e.time
+        for e in world.events.query("faas", "task.submitted")
+    }
+    latencies = [
+        e.time - submitted[e.data["task_id"]]
+        for e in world.events.query("faas", "task.dispatched")
+    ]
+    return world, pending, latencies
+
+
+class TestBurstAtScale:
+    def test_100k_burst_completes_fast(self):
+        # 100k tasks through submit, dispatch, pilot execution, and
+        # completion without event-queue blowup
+        started = time.perf_counter()
+        world, pending, latencies = _burst(100_000, endpoints=8, seed=42)
+        assert time.perf_counter() - started < 60
+        assert len(latencies) == 100_000
+        # submitted + dispatched + completed per task, plus setup events
+        assert len(world.events) >= 300_000
+        assert pending > 0
+        assert world.clock.now > 0
+        assert 0 < percentile(latencies, 50) <= percentile(latencies, 95)
+
+    def test_same_seed_same_virtual_figures(self):
+        a, a_pending, a_latencies = _burst(2000, endpoints=4, seed=7)
+        b, b_pending, b_latencies = _burst(2000, endpoints=4, seed=7)
+        assert a.clock.now == b.clock.now
+        assert len(a.events) == len(b.events)
+        assert a_pending == b_pending
+        assert a_latencies == b_latencies
+
+    def test_seed_changes_workload(self):
+        a, _, _ = _burst(500, endpoints=2, seed=1)
+        b, _, _ = _burst(500, endpoints=2, seed=2)
+        assert a.clock.now != b.clock.now

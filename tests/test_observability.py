@@ -351,38 +351,3 @@ class TestObsCli:
 
         assert main(["obs", "fig4", "--slo", "bogus"]) == 2
         assert main(["obs", "fig4", "--slo", "nope=1"]) == 2
-
-
-class TestBenchObs:
-    def test_bench_obs_populates_v2_fields(self):
-        from repro.experiments.bench import run_dispatch_bench
-
-        result = run_dispatch_bench(tasks=500, endpoints=2, seed=0, obs=True)
-        doc = result.to_json()
-        # the v2 observability fields survive the v4 schema bump
-        assert doc["schema"] == "repro-bench/4"
-        assert doc["results"]["alerts_fired"] == 0
-        assert doc["results"]["queue_wait_p95_series"]
-        assert doc["params"]["obs"] is True
-
-    def test_v1_baselines_still_gate(self, tmp_path):
-        from repro.experiments.bench import (
-            check_against_baseline,
-            run_dispatch_bench,
-        )
-
-        result = run_dispatch_bench(tasks=500, endpoints=2, seed=0)
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({
-            "schema": "repro-bench/1",
-            "scenario": result.scenario,
-            "results": {"tasks_per_second": result.tasks_per_second},
-        }))
-        assert check_against_baseline(result, str(path), tolerance=0.99) == []
-        path.write_text(json.dumps({
-            "schema": "repro-bench/99",
-            "scenario": result.scenario,
-            "results": {"tasks_per_second": 1.0},
-        }))
-        failures = check_against_baseline(result, str(path), tolerance=0.99)
-        assert failures and "schema" in failures[0]

@@ -1,5 +1,7 @@
 """The overload-protection plane: admission, AIMD, budgets, determinism."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.durability.journal import Journal
@@ -8,6 +10,7 @@ from repro.experiments.overload import (
     OverloadParams,
     format_overload_report,
     generate_workload,
+    overload_config,
     run_overload,
     run_overload_comparison,
 )
@@ -176,6 +179,44 @@ class TestDeterminism:
         assert tenants == {0, 1}
 
 
+class TestConservation:
+    def test_admitted_plus_rejected_equals_offered(self):
+        from repro.experiments import common
+        from repro.faas.client import ComputeClient
+
+        # low shed watermarks, so refusals take the shed path too
+        config = replace(
+            overload_config(QUICK),
+            shed_watermarks={PRIORITY_BATCH: 2, PRIORITY_NORMAL: 4},
+        )
+        world = World(overload=config, placement_policy="least-loaded")
+        common.deploy_site_mep_pool(world, "chameleon", size=QUICK.endpoints)
+        clients, fids = [], []
+        for tenant in range(QUICK.tenants):
+            login = f"t{tenant}"
+            user = world.register_user(login, {"chameleon": f"x-{login}"})
+            client = ComputeClient(world.faas, user.client_id, user.client_secret)
+            clients.append(client)
+            fids.append(client.register_function(_work, f"w{tenant}"))
+        arrivals = generate_workload(QUICK)
+        futures = []
+
+        def submit(arrival):
+            futures.append(clients[arrival.tenant].submit(
+                "chameleon", fids[arrival.tenant], arrival.duration,
+                priority=arrival.priority,
+            ))
+
+        for arrival in arrivals:
+            world.clock.call_after(arrival.at, lambda a=arrival: submit(a))
+        world.clock.run_until_idle()
+        stats = world.faas.overload.stats
+        assert len(futures) == len(arrivals)
+        assert all(future.done() for future in futures)
+        assert stats.shed > 0 and stats.rejected > stats.shed
+        assert stats.admitted + stats.rejected == len(arrivals)
+
+
 class TestShedReplay:
     def test_shed_counts_reproduce_across_journal_replay(self):
         params = OverloadParams(
@@ -198,20 +239,6 @@ class TestShedReplay:
         assert replayed.rejected == live.rejected
 
 
-class TestBenchSchema:
-    def test_overload_bench_serializes_v3_fields(self):
-        from repro.experiments.bench import SCHEMA, run_overload_bench
-
-        result = run_overload_bench(tasks=300, tenants=2, endpoints=2, seed=0)
-        payload = result.to_json()
-        assert payload["schema"] == SCHEMA == "repro-bench/4"
-        for key in ("admitted", "rejected", "shed", "brownout_seconds"):
-            assert key in payload["results"]
-        assert payload["results"]["admitted"] + payload["results"][
-            "rejected"
-        ] == 300
-
-
 class TestCLI:
     def test_overload_subcommand_parses(self):
         from repro.cli import build_parser
@@ -222,10 +249,3 @@ class TestCLI:
         assert args.command == "overload"
         assert args.tenants == 3
         assert args.profile == "none"
-
-    def test_bench_accepts_overload_scenario(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["bench", "overload_50k", "--tasks", "500"])
-        assert args.scenario == "overload_50k"
-        assert args.tasks == 500
